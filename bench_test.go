@@ -148,9 +148,9 @@ func BenchmarkFigure5Responsiveness(b *testing.B) {
 }
 
 // BenchmarkFigure5Speculative measures the wall-clock effect of the
-// speculative lookahead engine on the responsiveness run: candidate
-// evaluations fan out over forked labs while commits stay in proposal
-// order, so the result is bit-for-bit identical at every worker count
+// batched lookahead driver on the responsiveness run: candidate
+// evaluations fan out over per-evaluation labs while commits stay in
+// proposal order, so the result is bit-for-bit identical at every worker count
 // (see TestFigure5SpeculativeMatchesSequential). Short phases and a
 // sensitive shift factor keep the tell-independent fraction high — every
 // shift restart re-opens a full initial-simplex batch of 8–10 concurrent

@@ -57,8 +57,8 @@ func captureFigure5(t *testing.T, workers int, seed, shift string) string {
 // the CLI level: `webtune figure5` produces byte-identical output —
 // WIPS report, exports, trace, metrics and simprofile — at -workers 1, 4
 // and 8, across three seeds and with shift detection both enabled and
-// disabled. The worker pool only changes how many forked labs evaluate
-// speculative candidates concurrently, never what is committed.
+// disabled. The worker pool only changes how many per-evaluation labs
+// evaluate speculative candidates concurrently, never what is committed.
 //
 // Each (seed, shift) document is additionally pinned against a checked-in
 // golden, so the matrix guards against behavior drift over time (a pooled

@@ -95,6 +95,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "webtune: -replicates must be >= 1, got %d\n", *replicates)
 		return 2
 	}
+	if *iters < 0 {
+		fmt.Fprintf(stderr, "webtune: -iters must be >= 0, got %d\n", *iters)
+		return 2
+	}
 
 	cfg, defIters, err := labFor(*scale)
 	if err != nil {

@@ -28,6 +28,7 @@ func TestFlagAndArgumentErrors(t *testing.T) {
 		{"unknown-flag", []string{"-no-such-flag", "table1"}, "flag provided but not defined"},
 		{"bad-scale", []string{"-scale", "huge", "table1"}, `unknown scale "huge"`},
 		{"bad-replicates", []string{"-replicates", "0", "table4"}, "-replicates must be >= 1"},
+		{"bad-iters", []string{"-scale", "tiny", "-iters", "-3", "sec3a"}, "-iters must be >= 0"},
 		{"bad-workers-value", []string{"-workers", "x", "table1"}, "invalid value"},
 		{"bad-sweep-spec", []string{"-sweep", "cpus=1,2", "sweep"}, `unknown axis "cpus"`},
 		{"sweep-without-grid", []string{"sweep"}, "needs a grid"},

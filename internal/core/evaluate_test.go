@@ -106,8 +106,8 @@ func TestRunTable4SmallIters(t *testing.T) {
 	}
 }
 
-// TestFigure5SharesEvalCache checks the speculative engine consults the
-// same memo table as the sequential runners: a second identical run on a
+// TestFigure5SharesEvalCache checks the Figure 5 runner consults the
+// same memo table as the other hermetic runners: a second identical run on a
 // shared cache performs no new simulations.
 func TestFigure5SharesEvalCache(t *testing.T) {
 	if testing.Short() {

@@ -37,6 +37,14 @@ type SingleWorkloadResult struct {
 // its configuration, so re-proposed lattice points are exact repeats and
 // memoize under cfg.EvalCache.
 func TuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters int, opts harmony.Options) *SingleWorkloadResult {
+	res, _ := tuneWorkload(cfg, w, iters, baselineIters, lookahead, opts)
+	return res
+}
+
+// tuneWorkload is TuneWorkload with the hermetic driver's batch depth
+// exposed and the tuning strategy returned, for the depth-equivalence
+// tests.
+func tuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters, depth int, opts harmony.Options) (*SingleWorkloadResult, *harmony.Strategy) {
 	res := &SingleWorkloadResult{Workload: w}
 
 	// Baseline: the default configuration, measured repeatedly.
@@ -45,11 +53,9 @@ func TuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters int, opts
 
 	// Tuning run on a fresh, identically-seeded lab.
 	lab := NewLab(telemetrySub(cfg, "tuning"), w)
-	h := newHermeticRun(lab, w)
+	h := newHermeticRun(lab, depth)
 	st := harmony.NewStrategy(harmony.StrategyDefault, lab, 0, h.options(opts))
-	for i := 0; i < iters; i++ {
-		h.Step(st)
-	}
+	h.run(st, w, iters)
 	res.Tuning = st.Perf()
 	res.BestWIPS, _ = st.Best()
 	res.BestConfigs = tierConfigs(lab, st.BestNodeConfigs())
@@ -58,7 +64,7 @@ func TuneWorkload(cfg LabConfig, w tpcw.Workload, iters, baselineIters int, opts
 	half := res.Tuning[len(res.Tuning)/2:]
 	res.AvgImprovement = stats.Improvement(baseMean, stats.MeanOf(half))
 	res.FracBetter = stats.FractionAbove(half, baseMean)
-	return res
+	return res, st
 }
 
 // tierConfigs reduces a node→config map to one configuration per tier
@@ -150,14 +156,12 @@ type Figure5Result struct {
 // iterations, following seq (cycled). Shift detection should be enabled in
 // opts for the paper's responsiveness behaviour.
 //
-// Candidate evaluation fans out over cfg.Workers via speculative
-// lookahead (see runFigure5): the tuners' tell-independent proposals are
-// measured concurrently in forked labs and committed in proposal order,
-// with speculation past any shift-detection restart discarded. The
+// Like every hermetic tuning runner, it batches the tuners'
+// tell-independent proposals over cfg.Workers (see hermeticRun). The
 // output — WIPS series, Recovery, Restarts, telemetry traces/metrics and
 // simprofile stacks — is bit-for-bit identical at every worker count.
 func RunFigure5(cfg LabConfig, seq []tpcw.Workload, phaseLen, phases int, opts harmony.Options) *Figure5Result {
-	res, _ := runFigure5(cfg, seq, phaseLen, phases, figure5Lookahead, opts)
+	res, _ := runFigure5(cfg, seq, phaseLen, phases, lookahead, opts)
 	return res
 }
 
@@ -188,6 +192,14 @@ type Table4Result struct {
 // the improvement column is filled in after the join. Output is
 // bit-for-bit identical at any worker count.
 func RunTable4(cfg LabConfig, iters int, opts harmony.Options) *Table4Result {
+	res, _ := runTable4(cfg, iters, lookahead, opts)
+	return res
+}
+
+// runTable4 is RunTable4 with the hermetic driver's batch depth exposed
+// and the method strategies returned in row order (nil for the
+// baseline), for the depth-equivalence tests.
+func runTable4(cfg LabConfig, iters, depth int, opts harmony.Options) (*Table4Result, []*harmony.Strategy) {
 	cfg.ProxyNodes, cfg.AppNodes, cfg.DBNodes = 2, 2, 2
 	cfg.WorkLines = 2
 
@@ -199,6 +211,7 @@ func RunTable4(cfg LabConfig, iters int, opts harmony.Options) *Table4Result {
 	}
 
 	rows := make([]Table4Row, 1+len(kinds))
+	sts := make([]*harmony.Strategy, len(rows))
 	ForEach(cfg.Workers, len(rows), func(i int) {
 		if i == 0 {
 			// Baseline: no tuning. At least one window must run even for
@@ -219,11 +232,10 @@ func RunTable4(cfg LabConfig, iters int, opts harmony.Options) *Table4Result {
 		}
 		kind := kinds[i-1]
 		lab := NewLab(telemetrySub(cfg, "method:"+kind.String()), tpcw.Shopping)
-		h := newHermeticRun(lab, tpcw.Shopping)
+		h := newHermeticRun(lab, depth)
 		st := harmony.NewStrategy(kind, lab, cfg.WorkLines, h.options(opts))
-		for k := 0; k < iters; k++ {
-			h.Step(st)
-		}
+		h.run(st, tpcw.Shopping, iters)
+		sts[i] = st
 		best, _ := st.Best()
 		perf := st.Perf()
 		rows[i] = Table4Row{
@@ -237,7 +249,7 @@ func RunTable4(cfg LabConfig, iters int, opts harmony.Options) *Table4Result {
 	for i := 1; i < len(rows); i++ {
 		rows[i].Improvement = stats.Improvement(baseMean, rows[i].WIPS)
 	}
-	return &Table4Result{Rows: rows}
+	return &Table4Result{Rows: rows}, sts
 }
 
 // Figure7Result is one automatic-reconfiguration experiment (Figure 7).
@@ -428,11 +440,4 @@ func FormatLayoutSeries(layouts []string) string {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

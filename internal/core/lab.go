@@ -13,7 +13,6 @@ import (
 	"webharmony/internal/harmony"
 	"webharmony/internal/monitor"
 	"webharmony/internal/param"
-	"webharmony/internal/rng"
 	"webharmony/internal/simnet"
 	"webharmony/internal/simplex"
 	"webharmony/internal/telemetry"
@@ -45,7 +44,7 @@ type LabConfig struct {
 
 	// Workers bounds the worker pool the experiment runners use to fan
 	// out independent units (tuning runs, matrix cells, Figure 7
-	// variants). 0 selects GOMAXPROCS; 1 forces sequential execution.
+	// variants, batched tuning candidates). 0 selects GOMAXPROCS; 1 forces sequential execution.
 	// Results are bit-for-bit identical at every worker count: each unit
 	// builds its own lab from this configuration's seed.
 	Workers int
@@ -212,30 +211,6 @@ func NewLab(cfg LabConfig, w tpcw.Workload) *Lab {
 	return lab
 }
 
-// Fork builds an independent lab primed to evaluate one speculative
-// candidate: the same cluster shape, catalog scale and client load as the
-// parent, the parent's currently staged per-node configurations, and
-// fresh rng streams seeded with rng.TaskSeed(parent seed, task) so every
-// candidate's simulation is independent of the parent's, of the other
-// candidates', and of which worker builds it. A live engine cannot be
-// deep-copied (its event heap holds closures over simulator state), so a
-// fork is generative — rebuilt from configuration, not cloned — which is
-// precisely what makes speculative evaluation history-independent and
-// therefore byte-identical at any worker count. The fork registers its
-// telemetry recorder (when enabled) under the parent's unit extended by
-// unit, runs sequentially (Workers = 1), and is discarded after one
-// measurement.
-func (l *Lab) Fork(task uint64, w tpcw.Workload, unit string) *Lab {
-	cfg := telemetrySub(l.Cfg, unit)
-	cfg.Seed = rng.TaskSeed(l.Cfg.Seed, task)
-	cfg.Workers = 1
-	f := NewLab(cfg, w)
-	for node, nc := range l.Sys.SnapshotConfigs() {
-		f.Sys.SetNodeConfig(node, nc)
-	}
-	return f
-}
-
 // Recorder returns the lab's telemetry recorder; nil when telemetry is
 // disabled (a nil recorder still accepts appends as no-ops).
 func (l *Lab) Recorder() *telemetry.Recorder { return l.rec }
@@ -250,19 +225,19 @@ func (l *Lab) RecordEvent(ev telemetry.Event) {
 	l.rec.Event(ev)
 }
 
-// TraceObserve returns the observer factory that streams tuner steps into
-// the lab's telemetry recorder — assign it to harmony.Options.Observe
-// before building a strategy on this lab. It returns nil (tracing
-// disabled) when the lab has no recorder.
-func (l *Lab) TraceObserve() func(label string, space *param.Space) simplex.StepObserver {
-	if l.rec == nil {
+// traceObserve returns the observer factory that streams tuner steps
+// into rec, stamping each event with clock() — assign it to
+// harmony.Options.Observe before building a strategy. It returns nil
+// (tracing disabled) when rec is nil.
+func traceObserve(rec *telemetry.Recorder, clock func() float64) func(label string, space *param.Space) simplex.StepObserver {
+	if rec == nil {
 		return nil
 	}
 	return func(label string, space *param.Space) simplex.StepObserver {
 		return func(st simplex.Step) {
 			ev := telemetry.Event{
 				Session: label,
-				T:       l.Sys.Eng.Now(),
+				T:       clock(),
 				Iter:    st.Evaluations,
 				Kind:    "step",
 				Move:    st.Move,
@@ -275,17 +250,17 @@ func (l *Lab) TraceObserve() func(label string, space *param.Space) simplex.Step
 			if st.Config != nil {
 				ev.Config = st.Config.Map(space)
 			}
-			l.rec.Event(ev)
+			rec.Event(ev)
 		}
 	}
 }
 
-// withTrace returns opts with the lab's trace-observer factory attached,
-// unless the caller already supplied an observer of its own. No-op when
-// the lab has no telemetry.
+// withTrace returns opts with a trace observer stamped from the lab's
+// engine clock attached, unless the caller already supplied an observer
+// of its own. No-op when the lab has no telemetry.
 func withTrace(opts harmony.Options, lab *Lab) harmony.Options {
 	if opts.Observe == nil && opts.Observer == nil {
-		opts.Observe = lab.TraceObserve()
+		opts.Observe = traceObserve(lab.rec, lab.Sys.Eng.Now)
 	}
 	return opts
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"webharmony/internal/harmony"
@@ -49,7 +51,7 @@ func TestFigure5SpeculativeMatchesSequential(t *testing.T) {
 		opts := harmony.Options{Seed: seed, ShiftFactor: 0.1, ShiftPatience: 2}
 
 		seqRes, seqSt := runFigure5(specLab(seed, 1), seq, phaseLen, phases, 1, opts)
-		parRes, parSt := runFigure5(specLab(seed, 3), seq, phaseLen, phases, figure5Lookahead, opts)
+		parRes, parSt := runFigure5(specLab(seed, 3), seq, phaseLen, phases, lookahead, opts)
 
 		if !reflect.DeepEqual(seqRes, parRes) {
 			t.Fatalf("trial %d (seed %d, phaseLen %d, seq %v): results diverged:\nsequential: %+v\nspeculative: %+v",
@@ -76,6 +78,59 @@ func TestFigure5SpeculativeMatchesSequential(t *testing.T) {
 	}
 	if !sawRestart {
 		t.Fatal("no trial triggered a shift restart; the property was not exercised on the discard path")
+	}
+}
+
+// TestDriverDepthNeverChangesResults extends the property above to the
+// other hermetic tuning runners: the driver at depth 1 on one worker (the
+// sequential reference) and at the constant lookahead on 4 and 8 workers
+// produce identical results and per-session histories. TuneWorkload's
+// default strategy opens with a 24-vertex initial simplex that crosses
+// the 16-wide batch boundary; Table 4's hybrid truncates its lookahead at
+// the duplication→partitioning switch (iteration 40). With shift
+// detection on, restarts discard batched candidates mid-commit; the
+// batched runs carry telemetry to prove the discard path ran.
+func TestDriverDepthNeverChangesResults(t *testing.T) {
+	runners := []struct {
+		name string
+		run  func(cfg LabConfig, depth int, opts harmony.Options) (any, []*harmony.Strategy)
+	}{
+		{"tune-workload", func(cfg LabConfig, depth int, opts harmony.Options) (any, []*harmony.Strategy) {
+			res, st := tuneWorkload(cfg, tpcw.Shopping, 40, 1, depth, opts)
+			return res, []*harmony.Strategy{st}
+		}},
+		{"table4", func(cfg LabConfig, depth int, opts harmony.Options) (any, []*harmony.Strategy) {
+			res, sts := runTable4(cfg, 48, depth, opts)
+			return res, sts[1:] // sts[0] is the untuned baseline
+		}},
+	}
+	for _, r := range runners {
+		for _, shift := range []float64{0, 0.1} {
+			t.Run(fmt.Sprintf("%s/shift=%v", r.name, shift), func(t *testing.T) {
+				opts := harmony.Options{Seed: 7, ShiftFactor: shift, ShiftPatience: 2}
+				want, wantSts := r.run(specLab(7, 1), 1, opts)
+				for _, workers := range []int{4, 8} {
+					cfg := specLab(7, workers)
+					cfg.Telemetry = telemetry.NewCollector()
+					got, gotSts := r.run(cfg, lookahead, opts)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("workers %d: results diverged from depth 1:\n%+v\n%+v", workers, want, got)
+					}
+					for i := range wantSts {
+						if !reflect.DeepEqual(histories(wantSts[i]), histories(gotSts[i])) {
+							t.Fatalf("workers %d: strategy %d histories diverged from depth 1", workers, i)
+						}
+					}
+					var trace bytes.Buffer
+					if err := cfg.Telemetry.WriteTrace(&trace); err != nil {
+						t.Fatal(err)
+					}
+					if discards := strings.Count(trace.String(), "speculate-discard"); (discards > 0) != (shift > 0) {
+						t.Fatalf("workers %d: %d discarded candidates with shift factor %v", workers, discards, shift)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -132,12 +187,12 @@ func TestFigure5TelemetryDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFigure5SpeculationStress drives the forked-lab fan-out as hard as
-// the tiny scenario allows — more workers than candidates, shift
+// TestFigure5SpeculationStress drives the batched evaluation fan-out as
+// hard as the tiny scenario allows — more workers than candidates, shift
 // detection firing constantly so speculative batches are repeatedly
 // discarded mid-commit — and checks the result still matches the
 // sequential run. Run under -race this doubles as the concurrency test
-// for Fork/SnapshotConfigs/collector registration.
+// for per-evaluation lab construction and collector registration.
 func TestFigure5SpeculationStress(t *testing.T) {
 	seq := []tpcw.Workload{tpcw.Browsing, tpcw.Shopping, tpcw.Ordering}
 	opts := harmony.Options{Seed: 11, ShiftFactor: 0.05, ShiftPatience: 1}
@@ -146,7 +201,7 @@ func TestFigure5SpeculationStress(t *testing.T) {
 		t.Fatal("stress scenario triggered no restarts; tighten ShiftFactor")
 	}
 	for run := 0; run < 3; run++ {
-		got, _ := runFigure5(specLab(11, 8), seq, 5, 3, figure5Lookahead, opts)
+		got, _ := runFigure5(specLab(11, 8), seq, 5, 3, lookahead, opts)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("run %d: stressed speculative result diverged:\n%+v\n%+v", run, want, got)
 		}
@@ -212,40 +267,5 @@ func TestRecoveryIters(t *testing.T) {
 		if got := recoveryIters(tc.wips, tc.switches, tc.phaseLen); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: recoveryIters = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-// TestLabForkIndependence checks the fork mechanism itself: a fork
-// inherits the parent's staged node configurations, derives a different
-// seed, and measuring it leaves the parent's engine untouched.
-func TestLabForkIndependence(t *testing.T) {
-	parent := NewLab(specLab(5, 1), tpcw.Browsing)
-	tiers := parent.Tiers()
-	cfg := tiers[0].Space.DefaultConfig()
-	cfg[0] = tiers[0].Space.Def(0).Min // a recognizably non-default value
-	node := tiers[0].Nodes[0]
-	parent.SetNodeConfig(node, cfg)
-
-	fork := parent.Fork(3, tpcw.Ordering, "s00003")
-	if !fork.NodeConfig(node).Equal(cfg) {
-		t.Fatalf("fork did not inherit staged config: %v != %v", fork.NodeConfig(node), cfg)
-	}
-	if fork.Cfg.Seed == parent.Cfg.Seed {
-		t.Fatal("fork reused the parent seed")
-	}
-	if fork.Cfg.Workers != 1 {
-		t.Fatalf("fork Workers = %d, want 1", fork.Cfg.Workers)
-	}
-	m := fork.MeasureIteration(true)
-	if m.WIPS <= 0 {
-		t.Fatalf("fork measurement WIPS = %v, want > 0", m.WIPS)
-	}
-	if now := parent.Sys.Eng.Now(); now != 0 {
-		t.Fatalf("measuring a fork advanced the parent engine to %v", now)
-	}
-	// Same (task, workload) twice → bit-identical measurement.
-	m2 := parent.Fork(3, tpcw.Ordering, "again").MeasureIteration(true)
-	if m.WIPS != m2.WIPS {
-		t.Fatalf("fork measurement not reproducible: %v != %v", m.WIPS, m2.WIPS)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // stageConfigs applies one Lookahead entry to the fake cluster, the way a
-// speculative runner stages a candidate on a forked lab.
+// speculative runner stages a candidate on a per-evaluation lab.
 func stageConfigs(fc *fakeCluster, m map[int]param.Config) {
 	for node, cfg := range m {
 		fc.SetNodeConfig(node, cfg)
@@ -68,7 +68,7 @@ func driveSpeculative(st *Strategy, fc *fakeCluster, iters, lookahead, shiftAt i
 }
 
 // TestCommitStepMatchesStep is the harmony-level property behind the
-// speculative Figure 5 runner: for every strategy kind, driving the
+// batched hermetic tuning driver in core: for every strategy kind, driving the
 // strategy through Lookahead/CommitStep batches — including batches cut
 // short by shift-detection restarts — produces exactly the state a plain
 // Step loop reaches: same performance record, same per-session histories

@@ -236,19 +236,6 @@ func (s *System) SetNodeConfig(nodeID int, cfg param.Config) {
 // NodeConfig returns the node's stored configuration.
 func (s *System) NodeConfig(nodeID int) param.Config { return s.nodeCfg[nodeID].Clone() }
 
-// SnapshotConfigs returns a copy of every node's stored configuration,
-// keyed by node ID — the state a forked system needs to start from the
-// same staged configurations as this one. The snapshot is independent of
-// the system (deep-copied configs) and safe to take from concurrent
-// readers as long as no configuration is being staged at the same time.
-func (s *System) SnapshotConfigs() map[int]param.Config {
-	out := make(map[int]param.Config, len(s.nodeCfg))
-	for id, cfg := range s.nodeCfg {
-		out[id] = cfg.Clone()
-	}
-	return out
-}
-
 // SetTierConfig stores the same configuration on every node of a tier
 // (§III.B parameter duplication).
 func (s *System) SetTierConfig(t cluster.Tier, cfg param.Config) {
