@@ -310,7 +310,7 @@ func (g *PageGen) PageBuf(i Interaction, eb int, buf []webobj.Object) PageReques
 	p := ProfileOf(i)
 	pr := PageRequest{Interaction: i, Profile: p, Browser: eb}
 	if p.Static {
-		pr.HTML = g.staticPage()
+		pr.HTML = g.pagePop.NextKind(webobj.KindStatic)
 	} else {
 		// Dynamic page identity: drawn from the catalog's dynamic range
 		// so response sizes are realistic and deterministic.
@@ -320,27 +320,7 @@ func (g *PageGen) PageBuf(i Interaction, eb int, buf []webobj.Object) PageReques
 	}
 	pr.Images = buf[:0]
 	for k := 0; k < p.Images; k++ {
-		pr.Images = append(pr.Images, g.image())
+		pr.Images = append(pr.Images, g.imgPop.NextKind(webobj.KindImage))
 	}
 	return pr
-}
-
-// staticPage draws a popular static page object (re-drawing past images).
-func (g *PageGen) staticPage() webobj.Object {
-	for {
-		o := g.pagePop.Next()
-		if o.Kind == webobj.KindStatic {
-			return o
-		}
-	}
-}
-
-// image draws a popular image object (re-drawing past static pages).
-func (g *PageGen) image() webobj.Object {
-	for {
-		o := g.imgPop.Next()
-		if o.Kind == webobj.KindImage {
-			return o
-		}
-	}
 }

@@ -1,8 +1,9 @@
 // Package webobj models the population of web objects served by the
 // simulated TPC-W store: static pages, product images and dynamically
 // generated pages. Object sizes are deterministic functions of the object
-// ID, so the catalog needs no storage proportional to its size, and
-// popularity follows a Zipf distribution as observed for web traffic.
+// ID; each catalog memoizes them in a table filled on first reference, so
+// the random size is drawn at most once per object. Popularity follows a
+// Zipf distribution as observed for web traffic.
 package webobj
 
 import "webharmony/internal/rng"
@@ -51,12 +52,20 @@ func (o Object) Cacheable() bool { return o.Kind != KindDynamic }
 //	[0, nStatic)                      static pages
 //	[nStatic, nStatic+nImages)        product images (several per item)
 //	[nStatic+nImages, Total)          dynamic page identities
+//
+// A Catalog memoizes object sizes as they are first referenced, so it is
+// not safe for concurrent use; each simulated system owns its own.
 type Catalog struct {
 	scale    int
 	nStatic  uint64
 	nImages  uint64
 	nDynamic uint64
 	sizeSeed uint64
+	// sizes[id] is the object's size once drawn, 0 before: every kind's
+	// clamp minimum is at least 1 KB, so 0 is never a drawn size. Filled
+	// on first reference rather than up front, so building a catalog
+	// stays one zeroed allocation.
+	sizes []int32
 }
 
 // ImagesPerItem is the number of product images per catalog item
@@ -70,13 +79,15 @@ func NewCatalog(scale int, sizeSeed uint64) *Catalog {
 	if scale <= 0 {
 		panic("webobj: scale must be positive")
 	}
-	return &Catalog{
+	c := &Catalog{
 		scale:    scale,
 		nStatic:  uint64(scale)/10 + 50, // site chrome + per-category pages
 		nImages:  uint64(scale) * ImagesPerItem,
 		nDynamic: uint64(scale) + 1000, // product-detail and result pages
 		sizeSeed: sizeSeed,
 	}
+	c.sizes = make([]int32, c.Total())
+	return c
 }
 
 // Scale returns the catalog's item count.
@@ -89,39 +100,58 @@ func (c *Catalog) Total() uint64 { return c.nStatic + c.nImages + c.nDynamic }
 func (c *Catalog) CacheableTotal() uint64 { return c.nStatic + c.nImages }
 
 // Object returns the object with the given ID. Sizes are deterministic:
-// the same (catalog seed, ID) always yields the same size.
+// the same (catalog seed, ID) always yields the same size, whatever order
+// the IDs are referenced in.
 func (c *Catalog) Object(id uint64) Object {
 	if id >= c.Total() {
 		panic("webobj: object ID out of range")
 	}
-	// Derive a per-object random source from the ID. A stack-allocated
-	// source: object sizes are drawn on every catalog reference, which is
-	// the proxy tier's hot path.
-	src := rng.Seeded(c.sizeSeed ^ (id * 0x9e3779b97f4a7c15) ^ 0xC0FFEE)
+	k := c.kindOf(id)
+	size := c.sizes[id]
+	if size == 0 {
+		size = c.drawSize(id, k)
+		c.sizes[id] = size
+	}
+	return Object{ID: id, Kind: k, Size: int64(size)}
+}
+
+// kindOf returns the kind of an in-range ID from the ID layout alone.
+func (c *Catalog) kindOf(id uint64) Kind {
 	switch {
 	case id < c.nStatic:
-		// Static pages: 2–30 KB, log-normal-ish.
-		size := int64(src.LogNormal(8.8, 0.6)) // median ≈ 6.6 KB
-		return Object{ID: id, Kind: KindStatic, Size: clampSize(size, 1<<10, 60<<10)}
+		return KindStatic
 	case id < c.nStatic+c.nImages:
-		// Images: heavy-tailed Pareto, 2 KB – 512 KB (thumbnails dominate).
-		size := int64(src.Pareto(3<<10, 1.5))
-		return Object{ID: id, Kind: KindImage, Size: clampSize(size, 2<<10, 512<<10)}
+		return KindImage
 	default:
-		// Dynamic pages: 4–40 KB of generated HTML.
-		size := int64(src.LogNormal(9.3, 0.5)) // median ≈ 11 KB
-		return Object{ID: id, Kind: KindDynamic, Size: clampSize(size, 2<<10, 80<<10)}
+		return KindDynamic
 	}
 }
 
-func clampSize(v, lo, hi int64) int64 {
+// drawSize draws the size of object id of kind k from a random source
+// derived from the catalog seed and the ID alone.
+func (c *Catalog) drawSize(id uint64, k Kind) int32 {
+	src := rng.Seeded(c.sizeSeed ^ (id * 0x9e3779b97f4a7c15) ^ 0xC0FFEE)
+	switch k {
+	case KindStatic:
+		// Static pages: 2–30 KB, log-normal-ish.
+		return clampSize(int64(src.LogNormal(8.8, 0.6)), 1<<10, 60<<10) // median ≈ 6.6 KB
+	case KindImage:
+		// Images: heavy-tailed Pareto, 2 KB – 512 KB (thumbnails dominate).
+		return clampSize(int64(src.Pareto(3<<10, 1.5)), 2<<10, 512<<10)
+	default:
+		// Dynamic pages: 4–40 KB of generated HTML.
+		return clampSize(int64(src.LogNormal(9.3, 0.5)), 2<<10, 80<<10) // median ≈ 11 KB
+	}
+}
+
+func clampSize(v, lo, hi int64) int32 {
 	if v < lo {
-		return lo
+		return int32(lo)
 	}
 	if v > hi {
-		return hi
+		return int32(hi)
 	}
-	return v
+	return int32(v)
 }
 
 // Popularity draws cacheable object references with Zipf popularity. The
@@ -133,6 +163,7 @@ type Popularity struct {
 	// rank → object id mapping via a cheap deterministic permutation
 	a, b uint64
 	n    uint64
+	mask uint64 // pow2At(n) - 1
 }
 
 // NewPopularity creates a Zipf popularity sampler over the catalog's
@@ -143,12 +174,12 @@ func NewPopularity(cat *Catalog, src *rng.Source, theta float64) *Popularity {
 		cat:  cat,
 		zipf: rng.NewZipf(src, n, theta),
 		n:    n,
+		mask: pow2At(n) - 1,
 	}
-	// Affine permutation rank → id: a must be odd and coprime with n is
-	// not required since we mod by n after multiply with odd a on a prime
-	// extension; use a simple multiply-xor then mod, which is a uniform
-	// (if not bijective) spreading. To guarantee a bijection we use
-	// a = odd, over 2^k >= n with cycle-walking.
+	// Affine permutation rank → id over [0, 2^k), 2^k = pow2At(n): an odd
+	// multiplier is invertible modulo 2^k, so x ↦ a·x + b (mod 2^k) is a
+	// bijection, and cycle-walking (re-applying it until the value falls
+	// below n) restricts that bijection to one on [0, n).
 	p.a = src.Uint64() | 1
 	p.b = src.Uint64()
 	return p
@@ -166,10 +197,9 @@ func pow2At(n uint64) uint64 {
 // rankToID maps a popularity rank to an object ID bijectively using an
 // affine permutation over the next power of two with cycle-walking.
 func (p *Popularity) rankToID(rank uint64) uint64 {
-	m := pow2At(p.n)
 	x := rank
 	for {
-		x = (x*p.a + p.b) & (m - 1)
+		x = (x*p.a + p.b) & p.mask
 		if x < p.n {
 			return x
 		}
@@ -180,6 +210,23 @@ func (p *Popularity) rankToID(rank uint64) uint64 {
 func (p *Popularity) Next() Object {
 	rank := p.zipf.Next()
 	return p.cat.Object(p.rankToID(rank))
+}
+
+// NextKind draws referenced objects until one of kind k comes up and
+// returns it: the same draws, and the same object, as calling Next until
+// its Kind is k. Rejected draws are classified by ID alone, so only the
+// returned object's size is ever looked up. k must be cacheable
+// (KindStatic or KindImage); the sampler never draws a dynamic page.
+func (p *Popularity) NextKind(k Kind) Object {
+	if k == KindDynamic {
+		panic("webobj: popularity draws only cacheable kinds")
+	}
+	for {
+		id := p.rankToID(p.zipf.Next())
+		if p.cat.kindOf(id) == k {
+			return p.cat.Object(id)
+		}
+	}
 }
 
 // N returns the number of objects the sampler draws from.

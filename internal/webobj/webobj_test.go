@@ -158,6 +158,93 @@ func TestRankToIDBijection(t *testing.T) {
 	}
 }
 
+func TestKindOfMatchesObjectKind(t *testing.T) {
+	for _, scale := range []int{100, 1500, 10000} {
+		c := NewCatalog(scale, 4)
+		// The documented layout: static pages, then ImagesPerItem images
+		// per item, then dynamic pages.
+		nStatic := uint64(scale/10 + 50)
+		nImages := uint64(scale * ImagesPerItem)
+		for id := uint64(0); id < c.Total(); id++ {
+			want := KindDynamic
+			switch {
+			case id < nStatic:
+				want = KindStatic
+			case id < nStatic+nImages:
+				want = KindImage
+			}
+			if k := c.kindOf(id); k != want {
+				t.Fatalf("scale %d: kindOf(%d) = %v, want %v", scale, id, k, want)
+			}
+			if k := c.Object(id).Kind; k != want {
+				t.Fatalf("scale %d: Object(%d).Kind = %v, want %v", scale, id, k, want)
+			}
+		}
+	}
+}
+
+func TestSizeTableMatchesFirstDraw(t *testing.T) {
+	const scale, seed = 1500, 21
+	// A fresh catalog read in ID order draws every size exactly once, so
+	// first holds each object's first-draw size.
+	ref := NewCatalog(scale, seed)
+	first := make([]Object, ref.Total())
+	for id := range first {
+		first[id] = ref.Object(uint64(id))
+	}
+	reverse := make([]uint64, len(first))
+	for i := range reverse {
+		reverse[i] = uint64(len(first) - 1 - i)
+	}
+	shuffled := make([]uint64, len(first))
+	for i, j := range rng.New(5).Perm(len(first)) {
+		shuffled[i] = uint64(j)
+	}
+	for name, order := range map[string][]uint64{"reverse": reverse, "shuffled": shuffled} {
+		c := NewCatalog(scale, seed)
+		for pass := 1; pass <= 2; pass++ {
+			for _, id := range order {
+				if got := c.Object(id); got != first[id] {
+					t.Fatalf("%s order, read %d: Object(%d) = %+v, want %+v", name, pass, id, got, first[id])
+				}
+			}
+		}
+	}
+}
+
+// nextKindLoop is the reference NextKind: draw until the kind matches.
+func nextKindLoop(p *Popularity, k Kind) Object {
+	for {
+		if o := p.Next(); o.Kind == k {
+			return o
+		}
+	}
+}
+
+func TestNextKindMatchesRedrawLoop(t *testing.T) {
+	c := NewCatalog(2000, 8)
+	for _, k := range []Kind{KindStatic, KindImage} {
+		got := NewPopularity(c, rng.New(13), 0.95)
+		want := NewPopularity(NewCatalog(2000, 8), rng.New(13), 0.95)
+		for i := 0; i < 10000; i++ {
+			g, w := got.NextKind(k), nextKindLoop(want, k)
+			if g != w {
+				t.Fatalf("%v draw %d: NextKind = %+v, redraw loop = %+v", k, i, g, w)
+			}
+		}
+	}
+}
+
+func TestNextKindRejectsDynamic(t *testing.T) {
+	p := NewPopularity(NewCatalog(100, 1), rng.New(1), 0.9)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NextKind(KindDynamic) did not panic")
+		}
+	}()
+	p.NextKind(KindDynamic)
+}
+
 func BenchmarkCatalogObject(b *testing.B) {
 	c := NewCatalog(10000, 1)
 	var sink Object

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# check_bench.sh [bench-log]
+# BENCH_JSON=<trajectory.json> check_bench.sh [bench-log]
 #
 # Benchmark regression gate + machine-readable trajectory. Reads a
 # `go test -bench ... -benchmem` log (or produces one itself when no
@@ -14,18 +14,23 @@
 #      a deliberately loose margin that absorbs machine-speed spread
 #      across CI runners while still catching order-of-magnitude
 #      regressions of the event-loop and pooled-pipeline wins;
-#   3. writes every benchmark result in the log to BENCH_10.json
-#      (override the path with $BENCH_JSON) as
+#   3. writes every benchmark result in the log to $BENCH_JSON as
 #      `name -> {ns_op, allocs_op, bytes_op}`, so the perf history is
-#      tracked across PRs, not just gated.
+#      tracked across changes, not just gated. There is no default: each
+#      recorded trajectory gets its own file (BENCH_<n>.json in the repo
+#      root), and a run never overwrites an earlier one by accident.
 #
 # Update baselines only in the PR that deliberately changes the cost.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_baseline.txt
-json_out=${BENCH_JSON:-BENCH_10.json}
+json_out=${BENCH_JSON:-}
 log=${1:-}
+if [ -z "$json_out" ]; then
+  echo "usage: BENCH_JSON=<trajectory.json> $0 [bench-log]" >&2
+  exit 2
+fi
 
 if [ -n "$log" ]; then
   out=$(cat "$log")
