@@ -2,6 +2,7 @@ package webharmony
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"webharmony/internal/cluster"
@@ -278,6 +279,34 @@ func BenchmarkFigure7aReconfiguration(b *testing.B) {
 			b.Fatal("reconfiguration did not trigger")
 		}
 		b.ReportMetric(100*res.Improvement, "improvement_%")
+	}
+}
+
+// BenchmarkFigure7aInstrumented is Figure 7(a) with every telemetry sink
+// on: the tuner trace, the per-tier metrics, the event-loop profile, the
+// latency decomposition, the span rollup and span samples, each written to
+// io.Discard at the end of the run. Its allocs/op pins the per-event cost
+// of the profiler and the span layer, which BenchmarkFigure7aReconfiguration
+// (no telemetry) never exercises.
+func BenchmarkFigure7aInstrumented(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := benchFig7Lab()
+		col := NewTelemetryCollector()
+		cfg.Telemetry = col
+		cfg.SimProfile = true
+		cfg.Spans = true
+		cfg.SpanSampleEvery = 997
+		res := RunFigure7(cfg.WithTelemetryUnit("figure7a"), Figure7a())
+		if !res.Moved {
+			b.Fatal("reconfiguration did not trigger")
+		}
+		for _, write := range []func(io.Writer) error{
+			col.WriteTrace, col.WriteMetrics, col.WriteSimProfile, col.WriteLatency, col.WriteSpans,
+		} {
+			if err := write(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -66,6 +66,34 @@ func TestSimProfileDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestGoldenSimProfile pins the folded bytes of the tiny figure7a run, at
+// -workers 1 and 4, against a golden file. The workers-equality test above
+// only compares a run with itself; this one catches a profiler rewrite that
+// changes the folded output consistently at every worker count.
+// Regenerate with: go test ./cmd/webtune/ -run TestGoldenSimProfile -update
+func TestGoldenSimProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation golden test")
+	}
+	golden := filepath.Join("testdata", "figure7a-simprofile.golden")
+	for _, workers := range []int{1, 4} {
+		folded, _ := captureSimProfile(t, workers, "-scale", "tiny", "figure7a")
+		if *update && workers == 1 {
+			if err := os.WriteFile(golden, []byte(folded), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden (regenerate with -update): %v", err)
+		}
+		if folded != string(want) {
+			t.Errorf("-workers %d: folded profile differs from %s (regenerate with -update if the change is intended)",
+				workers, golden)
+		}
+	}
+}
+
 // TestSimProfileSinkFailFast: an uncreatable -simprofile path must abort
 // before any simulation runs, like the other telemetry sinks.
 func TestSimProfileSinkFailFast(t *testing.T) {

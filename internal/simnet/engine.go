@@ -25,10 +25,12 @@ type Engine struct {
 	free     []*event // recycled event records
 
 	// Attribution state for the trace-driven profiler (profile.go). ctx is
-	// the folded stack of the event being dispatched; events scheduled
-	// during dispatch inherit it. All of it is inert until SetProfile.
-	prof *Profile
-	ctx  string
+	// the interned stack of the event being dispatched; events scheduled
+	// during dispatch inherit it. stacks owns the id space. All of it is
+	// inert until SetProfile.
+	prof   *Profile
+	ctx    stackID
+	stacks stackTrie
 
 	// curSpan is the span buffer of the request whose event is being
 	// dispatched (span.go); events scheduled during dispatch inherit it.
@@ -44,7 +46,7 @@ type event struct {
 	seq   uint64
 	fn    func()
 	gen   uint64
-	label string   // attribution stack (profiling runs only)
+	label stackID  // attribution stack (profiling runs only)
 	span  *SpanBuf // span context of the submitting request (span runs only)
 }
 
@@ -143,7 +145,7 @@ func (t *Timer) Cancel() {
 		return // already fired, recycled, or canceled
 	}
 	ev.fn = nil // drop the closure (and everything it captured) now
-	ev.label = ""
+	ev.label = 0
 	ev.span = nil
 	e := t.eng
 	e.canceled++
@@ -186,7 +188,7 @@ func (e *Engine) alloc() *event {
 // every Timer handle still pointing at it.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	ev.label = ""
+	ev.label = 0
 	ev.span = nil
 	ev.gen++
 	e.free = append(e.free, ev)
@@ -218,7 +220,7 @@ func (e *Engine) Schedule(delay float64, fn func()) Timer {
 // the queueing primitives to attribute deferred work (queued jobs, pool
 // waiters) to the context that submitted it rather than the event that
 // happened to start it.
-func (e *Engine) scheduleLabeled(delay float64, label string, fn func()) Timer {
+func (e *Engine) scheduleLabeled(delay float64, label stackID, fn func()) Timer {
 	t := e.Schedule(delay, fn)
 	if e.prof != nil {
 		t.ev.label = label
@@ -245,7 +247,7 @@ func (e *Engine) Step() bool {
 		fn := ev.fn
 		span := ev.span
 		if e.prof != nil {
-			e.prof.record(ev.label, ev.at-e.now)
+			e.prof.record(&e.stacks, ev.label, ev.at-e.now)
 			e.ctx = ev.label
 		}
 		e.now = ev.at
@@ -254,7 +256,7 @@ func (e *Engine) Step() bool {
 		fn()
 		e.curSpan = nil
 		if e.prof != nil {
-			e.ctx = ""
+			e.ctx = 0
 		}
 		return true
 	}

@@ -443,17 +443,23 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 }
 
 // BenchmarkEngineDispatchProfiled measures per-event profiler overhead
-// relative to BenchmarkEngineScheduleRun's bare dispatch loop.
+// relative to BenchmarkEngineScheduleRun's bare dispatch loop. Every event
+// is scheduled under a frame pushed for it, and every dispatch pushes one
+// more, so the number includes stack interning, not just recording.
 func BenchmarkEngineDispatchProfiled(b *testing.B) {
 	b.ReportAllocs()
 	e := &Engine{}
 	e.SetProfile(NewProfile())
-	f := e.EnterRoot("bench")
-	defer f.Exit()
+	frames := []string{"page/home", "tier/proxy", "tier/app", "tier/db", "xfer"}
+	leaf := func() { e.Enter("leaf").Exit() }
+	root := e.EnterRoot("bench")
+	defer root.Exit()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 1000; j++ {
-			e.Schedule(float64(j%10), func() {})
+			f := e.Enter(frames[j%len(frames)])
+			e.Schedule(float64(j%10), leaf)
+			f.Exit()
 		}
 		e.Run()
 	}

@@ -1,9 +1,42 @@
 package simnet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// folded returns p's WriteFolded output.
+func folded(t *testing.T, p *Profile) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := p.WriteFolded(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// recordStacks gives each stack one dispatch on a fresh engine recording
+// into p, weighted by the matching dt: the stack's frames are entered, an
+// event is scheduled dt seconds ahead, and the engine runs it. An empty
+// stack schedules outside any frame.
+func recordStacks(p *Profile, stacks []string, dts []float64) {
+	e := &Engine{}
+	e.SetProfile(p)
+	for i, stack := range stacks {
+		var frames []Frame
+		if stack != "" {
+			for _, name := range strings.Split(stack, ";") {
+				frames = append(frames, e.Enter(name))
+			}
+		}
+		e.Schedule(dts[i], func() {})
+		for j := len(frames) - 1; j >= 0; j-- {
+			frames[j].Exit()
+		}
+		e.Run()
+	}
+}
 
 // TestProfileAttributionInheritance: events scheduled during a dispatch
 // inherit the dispatching event's stack; Enter extends it for the span of
@@ -23,20 +56,19 @@ func TestProfileAttributionInheritance(t *testing.T) {
 	root.Exit()
 	e.Run()
 
-	want := map[string]uint64{"req": 2, "req;inner": 1}
-	if len(p.stacks) != len(want) {
-		t.Fatalf("stacks %v, want keys %v", p.stacks, want)
+	// req: the first dispatch (1s) and the restored one (1s after the
+	// inner one); req;inner: one dispatch 1s after the first.
+	if got, want := folded(t, p), "req 2000000\nreq;inner 1000000\n"; got != want {
+		t.Fatalf("folded:\n%s\nwant:\n%s", got, want)
 	}
-	for stack, events := range want {
-		w := p.stacks[stack]
-		if w == nil || w.events != events {
-			t.Fatalf("stack %q: got %+v, want %d events", stack, w, events)
-		}
+	if got := p.Events(); got != 3 {
+		t.Fatalf("Events = %d, want 3", got)
 	}
 }
 
 // TestProfileEnterRootResets: EnterRoot replaces the whole stack, so
-// request chains cannot grow without bound across logical work units.
+// request chains cannot grow without bound across logical work units, and
+// its Exit restores the stack it replaced.
 func TestProfileEnterRootResets(t *testing.T) {
 	e := &Engine{}
 	p := NewProfile()
@@ -46,40 +78,55 @@ func TestProfileEnterRootResets(t *testing.T) {
 	r := e.EnterRoot("fresh")
 	e.Schedule(1, func() {})
 	r.Exit()
-	if e.ctx != "a;b" {
-		t.Fatalf("ctx after Exit = %q, want %q", e.ctx, "a;b")
-	}
+	e.Schedule(2, func() {}) // back under a;b
 	f2.Exit()
 	f1.Exit()
 	e.Run()
-	if w := p.stacks["fresh"]; w == nil || w.events != 1 {
-		t.Fatalf("stack %q not recorded: %v", "fresh", p.stacks)
+	if got, want := folded(t, p), "a;b 1000000\nfresh 1000000\n"; got != want {
+		t.Fatalf("folded:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-// TestProfileDepthCap: beyond maxFrames the stack keeps its prefix instead
-// of growing without bound.
+// TestProfileDepthCap: at maxFrames the stack stops growing and keeps its
+// prefix; frames pushed past the cap are dropped, and their Exits restore
+// the capped stack, not a shorter one.
 func TestProfileDepthCap(t *testing.T) {
 	e := &Engine{}
-	e.SetProfile(NewProfile())
-	for i := 0; i < 2*maxFrames; i++ {
-		e.Enter("f")
+	p := NewProfile()
+	e.SetProfile(p)
+	var names []string
+	for i := 0; i < maxFrames; i++ {
+		names = append(names, fmt.Sprintf("f%d", i))
+		e.Enter(names[i])
 	}
-	if got := strings.Count(e.ctx, ";") + 1; got != maxFrames {
-		t.Fatalf("stack depth = %d, want capped at %d", got, maxFrames)
+	capped := strings.Join(names, ";")
+	e.Schedule(1, func() {}) // at the cap
+	over := e.Enter("over")
+	e.Schedule(2, func() {}) // pushed past the cap: same stack
+	over.Exit()
+	e.Schedule(3, func() {}) // still the capped stack
+	e.Run()
+	if got, want := folded(t, p), capped+" 3000000\n"; got != want {
+		t.Fatalf("folded:\n%s\nwant:\n%s", got, want)
+	}
+	if got := strings.Count(capped, ";") + 1; got != maxFrames {
+		t.Fatalf("capped stack has %d frames, want %d", got, maxFrames)
+	}
+	if p.Events() != 3 {
+		t.Fatalf("Events = %d, want 3", p.Events())
 	}
 }
 
 // TestProfileUnattributed: dispatches outside any frame land under the
-// sentinel stack rather than an empty key.
+// sentinel stack rather than an empty one.
 func TestProfileUnattributed(t *testing.T) {
 	e := &Engine{}
 	p := NewProfile()
 	e.SetProfile(p)
 	e.Schedule(1, func() {})
 	e.Run()
-	if w := p.stacks[unattributed]; w == nil || w.events != 1 {
-		t.Fatalf("unattributed dispatch not recorded: %v", p.stacks)
+	if got, want := folded(t, p), unattributed+" 1000000\n"; got != want {
+		t.Fatalf("folded = %q, want %q", got, want)
 	}
 }
 
@@ -96,11 +143,9 @@ func TestProfileSimTimeWeights(t *testing.T) {
 	e.Schedule(5, func() {})
 	r.Exit()
 	e.Run()
-	if got := p.stacks["a"].simTime; got != 2 {
-		t.Fatalf("stack a simTime = %g, want 2", got)
-	}
-	if got := p.stacks["b"].simTime; got != 3 {
-		t.Fatalf("stack b simTime = %g, want 3 (5 minus the 2 already elapsed)", got)
+	// b gets 3s: 5 minus the 2 already elapsed.
+	if got, want := folded(t, p), "a 2000000\nb 3000000\n"; got != want {
+		t.Fatalf("folded:\n%s\nwant:\n%s", got, want)
 	}
 	if got := p.SimTime(); got != e.Now() {
 		t.Fatalf("total simTime %g != clock %g", got, e.Now())
@@ -122,10 +167,8 @@ func TestProfileStationAttribution(t *testing.T) {
 	st.Submit(1, nil) // queues behind first; first's completion starts it
 	r.Exit()
 	e.Run()
-	for _, want := range []string{"first;cpu/svc", "second;cpu/svc"} {
-		if w := p.stacks[want]; w == nil || w.events != 1 {
-			t.Fatalf("stack %q missing: %v", want, p.stacks)
-		}
+	if got, want := folded(t, p), "first;cpu/svc 1000000\nsecond;cpu/svc 1000000\n"; got != want {
+		t.Fatalf("folded:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -149,9 +192,9 @@ func TestProfilePoolGrantAttribution(t *testing.T) {
 	}, nil)
 	r.Exit()
 	e.Run()
-	want := "waiter;threads/grant;cpu/svc"
-	if w := p.stacks[want]; w == nil || w.events != 1 {
-		t.Fatalf("stack %q missing: %v", want, p.stacks)
+	want := "holder 1000000\nwaiter;threads/grant;cpu/svc 1000000\n"
+	if got := folded(t, p); got != want {
+		t.Fatalf("folded:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -178,15 +221,9 @@ func TestProfileFoldedDeterministicAndMergeOrder(t *testing.T) {
 		return p
 	}
 	frames := []string{"a", "b", "c", "a", "b", "a"}
-	var out1, out2 strings.Builder
-	if err := build(frames).WriteFolded(&out1); err != nil {
-		t.Fatal(err)
-	}
-	if err := build(frames).WriteFolded(&out2); err != nil {
-		t.Fatal(err)
-	}
-	if out1.String() != out2.String() {
-		t.Fatalf("folded output differs across identical runs:\n%s\n----\n%s", out1.String(), out2.String())
+	out1, out2 := folded(t, build(frames)), folded(t, build(frames))
+	if out1 != out2 {
+		t.Fatalf("folded output differs across identical runs:\n%s\n----\n%s", out1, out2)
 	}
 	// Merge in fixed order from two builds; must equal merging fresh copies.
 	m1 := NewProfile()
@@ -195,15 +232,138 @@ func TestProfileFoldedDeterministicAndMergeOrder(t *testing.T) {
 	m2 := NewProfile()
 	m2.Merge(build(frames[:3]))
 	m2.Merge(build(frames[3:]))
-	var f1, f2 strings.Builder
-	if err := m1.WriteFolded(&f1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.WriteFolded(&f2); err != nil {
-		t.Fatal(err)
-	}
-	if f1.String() != f2.String() {
+	if folded(t, m1) != folded(t, m2) {
 		t.Fatal("fixed-order merge is not byte-stable")
+	}
+}
+
+// TestProfileMergeOverlappingStacks: two engines intern the same stacks in
+// different orders, so their ids differ; Merge must match stacks by their
+// folded names and sum both weights per stack.
+func TestProfileMergeOverlappingStacks(t *testing.T) {
+	a, b := NewProfile(), NewProfile()
+	recordStacks(a, []string{"x;y", "x;y", "z"}, []float64{1, 2, 0.5})
+	recordStacks(b, []string{"z", "w", "x;y", "x"}, []float64{0.25, 4, 8, 16})
+	m := NewProfile()
+	m.Merge(a)
+	m.Merge(b)
+	want := "w 4000000\nx 16000000\nx;y 11000000\nz 750000\n"
+	if got := folded(t, m); got != want {
+		t.Fatalf("merged folded:\n%s\nwant:\n%s", got, want)
+	}
+	if got := m.Events(); got != a.Events()+b.Events() || got != 7 {
+		t.Fatalf("merged Events = %d, want %d + %d = 7", got, a.Events(), b.Events())
+	}
+	if got := m.SimTime(); got != a.SimTime()+b.SimTime() {
+		t.Fatalf("merged SimTime = %g, want %g", got, a.SimTime()+b.SimTime())
+	}
+	// Merging into a profile that is recording on its own engine adds to
+	// the stacks it already holds.
+	recordStacks(a, []string{"x"}, []float64{1})
+	a.Merge(b)
+	want = "w 4000000\nx 17000000\nx;y 11000000\nz 750000\n"
+	if got := folded(t, a); got != want {
+		t.Fatalf("merge into a recording profile:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestProfileSwapMidRun: events queued while profile A was attached carry
+// their stacks into profile B when B is attached before they fire, as do
+// events queued while no profile was attached after A. Stack ids belong to
+// the engine, so a swapped-in profile can record them.
+func TestProfileSwapMidRun(t *testing.T) {
+	e := &Engine{}
+	a := NewProfile()
+	e.SetProfile(a)
+	r := e.EnterRoot("req")
+	e.Schedule(1, func() {})
+	f := e.Enter("deep")
+	e.Schedule(2, func() {})
+	f.Exit()
+	r.Exit()
+	e.Schedule(3, func() {}) // unattributed
+	e.Step()                 // req fires into a
+
+	b := NewProfile()
+	e.SetProfile(b)
+	r = e.EnterRoot("late")
+	e.Schedule(3, func() {})
+	r.Exit()
+	e.Run()
+
+	if got, want := folded(t, a), "req 1000000\n"; got != want {
+		t.Fatalf("profile a:\n%s\nwant:\n%s", got, want)
+	}
+	want := "(unattributed) 1000000\nlate 1000000\nreq;deep 1000000\n"
+	if got := folded(t, b); got != want {
+		t.Fatalf("profile b:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Detach with a labeled event still queued; it keeps its stack and is
+	// recorded under it once a profile is attached again.
+	r = e.EnterRoot("held")
+	e.Schedule(1, func() {})
+	r.Exit()
+	e.SetProfile(nil)
+	e.Schedule(1, func() {}) // scheduled detached: unattributed
+	c := NewProfile()
+	e.SetProfile(c)
+	e.Run()
+	if got, want := folded(t, c), "(unattributed) 0\nheld 1000000\n"; got != want {
+		t.Fatalf("profile c:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestProfileSharedAcrossEngines: one profile attached to two engines in
+// turn keeps every stack's weights, though each engine numbers its stacks
+// differently.
+func TestProfileSharedAcrossEngines(t *testing.T) {
+	p := NewProfile()
+	recordStacks(p, []string{"a;b", "c"}, []float64{1, 2})
+	recordStacks(p, []string{"c", "d", "a;b"}, []float64{4, 8, 16})
+	want := "a;b 17000000\nc 6000000\nd 8000000\n"
+	if got := folded(t, p); got != want {
+		t.Fatalf("folded:\n%s\nwant:\n%s", got, want)
+	}
+	if p.Events() != 5 {
+		t.Fatalf("Events = %d, want 5", p.Events())
+	}
+}
+
+// TestProfileFrameNameValidation: a frame name that would corrupt the
+// folded format — empty, or holding ';', a space or a newline — panics
+// naming the frame, whether pushed by Enter, EnterRoot or a station.
+// Unprofiled engines never look at frame names.
+func TestProfileFrameNameValidation(t *testing.T) {
+	for _, name := range []string{"", "a;b", "a b", "a\nb"} {
+		cases := []struct {
+			how, frame string
+			push       func(e *Engine)
+		}{
+			{"Enter", name, func(e *Engine) { e.Enter("ok"); e.Enter(name) }},
+			{"EnterRoot", name, func(e *Engine) { e.EnterRoot(name) }},
+		}
+		if name != "" { // an empty station name still yields the frame "/svc"
+			cases = append(cases, struct {
+				how, frame string
+				push       func(e *Engine)
+			}{"Station", name + "/svc", func(e *Engine) { NewStation(e, name, 1, 1).Submit(1, nil) }})
+		}
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/%q", c.how, name), func(t *testing.T) {
+				e := &Engine{}
+				c.push(e) // profiling off: accepted
+				e.SetProfile(NewProfile())
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, fmt.Sprintf("%q", c.frame)) {
+						t.Fatalf("panic %q does not name frame %q", msg, c.frame)
+					}
+				}()
+				c.push(e)
+				t.Fatalf("frame %q accepted", c.frame)
+			})
+		}
 	}
 }
 
@@ -211,16 +371,10 @@ func TestProfileFoldedDeterministicAndMergeOrder(t *testing.T) {
 // microsecond weights, lexicographic order, no spaces inside frames.
 func TestProfileFoldedFormat(t *testing.T) {
 	p := NewProfile()
-	p.record("b;y", 0.25)
-	p.record("a;x", 1.5)
-	p.record("", 0.000001)
-	var sb strings.Builder
-	if err := p.WriteFolded(&sb); err != nil {
-		t.Fatal(err)
-	}
+	recordStacks(p, []string{"b;y", "a;x", ""}, []float64{0.25, 1.5, 0.000001})
 	want := "(unattributed) 1\na;x 1500000\nb;y 250000\n"
-	if sb.String() != want {
-		t.Fatalf("folded output:\n%q\nwant:\n%q", sb.String(), want)
+	if got := folded(t, p); got != want {
+		t.Fatalf("folded output:\n%q\nwant:\n%q", got, want)
 	}
 }
 
@@ -228,9 +382,13 @@ func TestProfileFoldedFormat(t *testing.T) {
 // overflow aggregate line.
 func TestProfileRollup(t *testing.T) {
 	p := NewProfile()
+	var stacks []string
+	var dts []float64
 	for i := 0; i < rollupRows+5; i++ {
-		p.record(strings.Repeat("s", i+1), float64(i+1))
+		stacks = append(stacks, strings.Repeat("s", i+1))
+		dts = append(dts, float64(i+1))
 	}
+	recordStacks(p, stacks, dts)
 	var sb strings.Builder
 	if err := p.WriteRollup(&sb); err != nil {
 		t.Fatal(err)
@@ -247,6 +405,9 @@ func TestProfileRollup(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "simnet event-loop profile:") {
 		t.Fatalf("bad header: %q", lines[0])
 	}
+	if !strings.HasSuffix(lines[2], "  "+stacks[len(stacks)-1]) {
+		t.Fatalf("first row %q is not the heaviest stack", lines[2])
+	}
 }
 
 // TestProfileDetachedZeroState: detaching clears the context so a later
@@ -258,15 +419,19 @@ func TestProfileDetachedZeroState(t *testing.T) {
 	e.SetProfile(p)
 	e.Enter("left-open")
 	e.SetProfile(nil)
-	if e.ctx != "" {
-		t.Fatalf("ctx = %q after detach, want empty", e.ctx)
-	}
 	e.Schedule(1, func() {})
 	e.Run()
 	if !p.Empty() {
-		t.Fatalf("detached engine recorded stacks: %v", p.stacks)
+		t.Fatalf("detached engine recorded stacks:\n%s", folded(t, p))
 	}
 	if f := e.Enter("x"); f.ok {
 		t.Fatal("Enter returned a live frame with profiling off")
+	}
+	q := NewProfile()
+	e.SetProfile(q)
+	e.Schedule(1, func() {})
+	e.Run()
+	if got, want := folded(t, q), unattributed+" 1000000\n"; got != want {
+		t.Fatalf("re-attached profile:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -186,7 +186,7 @@ func (e *Engine) SetSpan(b *SpanBuf) *SpanBuf {
 // scheduleSpanned is scheduleLabeled with an explicit span context, used
 // by the queueing primitives so a deferred job's completion restores the
 // submitting request's span, not whichever request's event started it.
-func (e *Engine) scheduleSpanned(delay float64, label string, span *SpanBuf, fn func()) Timer {
+func (e *Engine) scheduleSpanned(delay float64, label stackID, span *SpanBuf, fn func()) Timer {
 	t := e.scheduleLabeled(delay, label, fn)
 	t.ev.span = span
 	return t

@@ -10,6 +10,7 @@ package simnet
 type Station struct {
 	eng     *Engine
 	name    string
+	svc     string // profile frame of a service completion: name + "/svc"
 	servers int
 	speed   float64 // service rate multiplier; demand/speed = service time
 
@@ -37,7 +38,7 @@ type Station struct {
 type stationJob struct {
 	demand float64
 	done   func()
-	label  string   // attribution stack captured at Submit (profiling runs)
+	label  stackID  // attribution stack captured at Submit (profiling runs)
 	span   *SpanBuf // submitter's span, captured at Submit (span runs)
 }
 
@@ -87,7 +88,7 @@ func NewStation(eng *Engine, name string, servers int, speed float64) *Station {
 	if speed <= 0 {
 		panic("simnet: station speed must be positive")
 	}
-	return &Station{eng: eng, name: name, servers: servers, speed: speed, lastStamp: eng.Now()}
+	return &Station{eng: eng, name: name, svc: name + "/svc", servers: servers, speed: speed, lastStamp: eng.Now()}
 }
 
 // Name returns the station's diagnostic name.
@@ -125,9 +126,9 @@ func (s *Station) Submit(demand float64, done func()) {
 	// The service completion is attributed to the context that submitted
 	// the job (stack extended by "station/svc"), not to whichever event
 	// later pops it off the queue.
-	var label string
+	var label stackID
 	if s.eng.prof != nil {
-		label = appendFrame(s.eng.ctx, s.name+"/svc")
+		label = s.eng.stacks.push(s.eng.ctx, s.svc)
 	}
 	span := s.eng.curSpan
 	if s.busy < s.servers {
@@ -140,7 +141,7 @@ func (s *Station) Submit(demand float64, done func()) {
 	}
 }
 
-func (s *Station) start(demand float64, done func(), label string, span *SpanBuf) {
+func (s *Station) start(demand float64, done func(), label stackID, span *SpanBuf) {
 	s.stamp()
 	s.busy++
 	if span != nil {
@@ -257,6 +258,7 @@ func (s *Station) Reset() {
 type TokenPool struct {
 	eng      *Engine
 	name     string
+	grant    string // profile frame of a queued grant: name + "/grant"
 	capacity int
 	maxWait  int   // -1 means unbounded
 	site     uint8 // span attribution site (span.go); 0 = unattributed
@@ -274,7 +276,7 @@ type TokenPool struct {
 // is charged to the acquirer, not to whichever event released the token.
 type waiter struct {
 	fn   func()
-	ctx  string
+	ctx  stackID
 	span *SpanBuf // acquirer's span, stamped with the wait when granted
 }
 
@@ -284,7 +286,7 @@ func NewTokenPool(eng *Engine, name string, capacity, maxWait int) *TokenPool {
 	if capacity <= 0 {
 		panic("simnet: token pool needs positive capacity")
 	}
-	return &TokenPool{eng: eng, name: name, capacity: capacity, maxWait: maxWait}
+	return &TokenPool{eng: eng, name: name, grant: name + "/grant", capacity: capacity, maxWait: maxWait}
 }
 
 // Name returns the pool's diagnostic name.
@@ -337,7 +339,7 @@ func (p *TokenPool) Acquire(onGrant func(), onReject func()) {
 	}
 	w := waiter{fn: onGrant, span: p.eng.curSpan}
 	if p.eng.prof != nil {
-		w.ctx = appendFrame(p.eng.ctx, p.name+"/grant")
+		w.ctx = p.eng.stacks.push(p.eng.ctx, p.grant)
 	}
 	p.waiters = append(p.waiters, w)
 	if len(p.waiters) > p.waitPeak {

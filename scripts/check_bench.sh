@@ -36,7 +36,7 @@ if [ -n "$log" ]; then
   out=$(cat "$log")
 else
   out=$(go test -run '^$' \
-    -bench 'BenchmarkFigure5Responsiveness|BenchmarkFigure4Memoized|BenchmarkTable4Memoized' \
+    -bench 'BenchmarkFigure5Responsiveness|BenchmarkFigure4Memoized|BenchmarkTable4Memoized|BenchmarkFigure7aInstrumented' \
     -benchtime 1x -benchmem .)
   echo "$out"
 fi
