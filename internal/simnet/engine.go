@@ -24,30 +24,37 @@ type Engine struct {
 	canceled int      // dead (canceled, unpopped) events still in the heap
 	free     []*event // recycled event records
 
-	// Attribution state for the trace-driven profiler (profile.go). ctx is
-	// the interned stack of the event being dispatched; events scheduled
-	// during dispatch inherit it. stacks owns the id space. All of it is
-	// inert until SetProfile.
+	// ctx is the attribution context of the event being dispatched;
+	// events scheduled during dispatch inherit it. prof is the attached
+	// profile (profile.go) and stacks owns the id space of ctx.stack;
+	// both are inert until SetProfile.
+	ctx    eventCtx
 	prof   *Profile
-	ctx    stackID
 	stacks stackTrie
+}
 
-	// curSpan is the span buffer of the request whose event is being
-	// dispatched (span.go); events scheduled during dispatch inherit it.
-	// Inert (nil) until a request begins a span.
-	curSpan *SpanBuf
+// eventCtx is the attribution context that rides along with every event,
+// queued station job and pool waiter: the profiler's interned stack
+// (profile.go; the empty stack unless a profile is attached) and the span
+// buffer of the request the work belongs to (span.go; nil unless a request
+// began a span). The queueing primitives capture the submitter's context
+// and restore it when the deferred work runs, so both layers charge it to
+// the request that asked for it, not to the event that happened to start
+// it.
+type eventCtx struct {
+	stack stackID
+	span  *SpanBuf
 }
 
 // event is a scheduled callback. Records are recycled through Engine.free;
 // gen increments on every recycle so stale Timer handles turn into no-ops.
 // A nil fn marks a canceled (dead) event awaiting pop or compaction.
 type event struct {
-	at    float64
-	seq   uint64
-	fn    func()
-	gen   uint64
-	label stackID  // attribution stack (profiling runs only)
-	span  *SpanBuf // span context of the submitting request (span runs only)
+	at  float64
+	seq uint64
+	fn  func()
+	gen uint64
+	ctx eventCtx // attribution context the callback runs under
 }
 
 // compactMin is the minimum number of dead events before Cancel considers
@@ -145,8 +152,7 @@ func (t *Timer) Cancel() {
 		return // already fired, recycled, or canceled
 	}
 	ev.fn = nil // drop the closure (and everything it captured) now
-	ev.label = 0
-	ev.span = nil
+	ev.ctx = eventCtx{}
 	e := t.eng
 	e.canceled++
 	if e.canceled >= compactMin && e.canceled*2 > len(e.events) {
@@ -188,8 +194,7 @@ func (e *Engine) alloc() *event {
 // every Timer handle still pointing at it.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	ev.label = 0
-	ev.span = nil
+	ev.ctx = eventCtx{}
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -200,32 +205,30 @@ func (e *Engine) Now() float64 { return e.now }
 // Schedule arranges for fn to run delay seconds from now. A negative delay
 // is treated as zero. It returns a Timer that can cancel the event.
 func (e *Engine) Schedule(delay float64, fn func()) Timer {
+	return e.scheduleCtx(delay, e.ctx, fn)
+}
+
+// scheduleCtx is Schedule with an explicit attribution context, used by
+// the queueing primitives to run deferred work (queued jobs, pool waiters)
+// under the context that submitted it rather than the event that happened
+// to start it. Without a profile attached the event carries the empty
+// stack, so a stack captured before SetProfile(nil) cannot reach a later
+// profile through work scheduled while detached.
+func (e *Engine) scheduleCtx(delay float64, c eventCtx, fn func()) Timer {
 	if delay < 0 {
 		delay = 0
+	}
+	if e.prof == nil {
+		c.stack = 0
 	}
 	ev := e.alloc()
 	ev.at = e.now + delay
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.span = e.curSpan
-	if e.prof != nil {
-		ev.label = e.ctx
-	}
+	ev.ctx = c
 	e.seq++
 	e.events.push(ev)
 	return Timer{eng: e, ev: ev, gen: ev.gen}
-}
-
-// scheduleLabeled is Schedule with an explicit attribution stack, used by
-// the queueing primitives to attribute deferred work (queued jobs, pool
-// waiters) to the context that submitted it rather than the event that
-// happened to start it.
-func (e *Engine) scheduleLabeled(delay float64, label stackID, fn func()) Timer {
-	t := e.Schedule(delay, fn)
-	if e.prof != nil {
-		t.ev.label = label
-	}
-	return t
 }
 
 // At arranges for fn to run at absolute simulated time t; if t is in the
@@ -245,19 +248,15 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		fn := ev.fn
-		span := ev.span
+		c := ev.ctx
 		if e.prof != nil {
-			e.prof.record(&e.stacks, ev.label, ev.at-e.now)
-			e.ctx = ev.label
+			e.prof.record(&e.stacks, c.stack, ev.at-e.now)
 		}
 		e.now = ev.at
 		e.release(ev)
-		e.curSpan = span
+		e.ctx = c
 		fn()
-		e.curSpan = nil
-		if e.prof != nil {
-			e.ctx = 0
-		}
+		e.ctx = eventCtx{}
 		return true
 	}
 	return false

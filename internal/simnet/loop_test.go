@@ -238,99 +238,6 @@ func TestInterleavedScheduleCancelStepProperty(t *testing.T) {
 	}
 }
 
-// --- Station.Reset drop-on-reset regression ---
-
-// TestStationResetPanicsOnQueuedJobs reproduces the drop-on-Reset bug: a
-// queued job's done callback holds a pool token; silently dropping it
-// leaked the token across measurement iterations. Without an evict
-// handler, Reset must refuse (panic) rather than leak.
-func TestStationResetPanicsOnQueuedJobs(t *testing.T) {
-	e := &Engine{}
-	st := NewStation(e, "cpu", 1, 1)
-	pool := NewTokenPool(e, "threads", 1, -1)
-	pool.Acquire(func() {
-		st.Submit(1, func() { pool.Release() }) // in service
-		st.Submit(1, func() { pool.Release() }) // queued, holds nothing yet
-	}, nil)
-	if st.QueueLen() != 1 {
-		t.Fatalf("QueueLen = %d, want 1", st.QueueLen())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset silently dropped queued jobs (the token-leak bug)")
-		}
-	}()
-	st.Reset()
-}
-
-// TestStationResetDrainsThroughEvictHandler verifies the explicit
-// rejection path: with SetOnEvict installed, Reset hands every queued
-// job's completion callback to the handler so the submitter's resources
-// (here: a pool token per queued request) can be settled.
-func TestStationResetDrainsThroughEvictHandler(t *testing.T) {
-	e := &Engine{}
-	st := NewStation(e, "cpu", 1, 1)
-	pool := NewTokenPool(e, "threads", 3, -1)
-	// Three requests each hold a token across their station job; one runs,
-	// two queue.
-	for i := 0; i < 3; i++ {
-		pool.Acquire(func() {
-			st.Submit(1, func() { pool.Release() })
-		}, nil)
-	}
-	if pool.InUse() != 3 || st.QueueLen() != 2 {
-		t.Fatalf("setup: InUse=%d QueueLen=%d, want 3 and 2", pool.InUse(), st.QueueLen())
-	}
-	evicted := 0
-	st.SetOnEvict(func(done func()) {
-		evicted++
-		done() // settle: completion semantics are fine for this model
-	})
-	st.Reset()
-	if evicted != 2 {
-		t.Fatalf("evicted %d jobs, want 2", evicted)
-	}
-	if st.QueueLen() != 0 {
-		t.Fatalf("QueueLen = %d after Reset, want 0", st.QueueLen())
-	}
-	// The in-service job still completes and releases the last token.
-	e.Run()
-	if pool.InUse() != 0 {
-		t.Fatalf("pool leaked %d token(s) across Reset", pool.InUse())
-	}
-}
-
-// TestStationResetEvictResubmitSurvives: an evict handler that settles a
-// job by retrying it resubmits into the station mid-Reset. The resubmitted
-// job belongs to the post-reset queue; Reset used to clear the queue again
-// after the drain, silently dropping exactly the retries the evict hook
-// exists to protect. The pooled in-service record from before the Reset
-// must also complete and recycle normally.
-func TestStationResetEvictResubmitSurvives(t *testing.T) {
-	e := &Engine{}
-	st := NewStation(e, "cpu", 1, 1)
-	ran := 0
-	st.Submit(1, func() { ran++ }) // in service across the Reset
-	st.Submit(1, func() { ran++ }) // queued; evicted by Reset
-	st.SetOnEvict(func(done func()) {
-		st.Submit(1, done) // retry; the server is busy, so it queues
-	})
-	st.Reset()
-	if st.QueueLen() != 1 {
-		t.Fatalf("QueueLen = %d after evict-resubmit, want 1 (the retry was dropped)", st.QueueLen())
-	}
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("%d jobs completed, want 2 (pre-reset in-service + resubmitted)", ran)
-	}
-	if st.Busy() != 0 || st.QueueLen() != 0 {
-		t.Fatalf("station not idle after drain: busy=%d queued=%d", st.Busy(), st.QueueLen())
-	}
-	if n := len(st.freeSvc); n < 1 || n > 2 {
-		t.Fatalf("free list holds %d service records after drain, want 1–2 (recycle broken)", n)
-	}
-}
-
 // --- TokenPool reentrancy regressions ---
 
 // TestTokenPoolReentrantReleaseDuringGrant: a grant callback that
@@ -460,6 +367,29 @@ func BenchmarkEngineDispatchProfiled(b *testing.B) {
 			f := e.Enter(frames[j%len(frames)])
 			e.Schedule(float64(j%10), leaf)
 			f.Exit()
+		}
+		e.Run()
+	}
+}
+
+// BenchmarkEngineDispatchSpanned is BenchmarkEngineDispatchProfiled with
+// the other half of the attribution context live: no profile is attached,
+// every event is scheduled under one of five requests' span buffers, and
+// every dispatch marks a segment on the span it restored.
+func BenchmarkEngineDispatchSpanned(b *testing.B) {
+	b.ReportAllocs()
+	e := &Engine{}
+	bufs := make([]SpanBuf, 5)
+	leaf := func() { e.CurrentSpan().Mark(1, SpanService, e.NowTicks()) }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range bufs {
+			bufs[k].Begin(e.NowTicks())
+		}
+		for j := 0; j < 1000; j++ {
+			prev := e.SetSpan(&bufs[j%len(bufs)])
+			e.Schedule(float64(j%10), leaf)
+			e.SetSpan(prev)
 		}
 		e.Run()
 	}

@@ -14,16 +14,17 @@ import (
 // accumulating two weights per stack — the number of dispatches and the
 // simulated time the clock advanced to reach the event.
 //
-// Attribution is threaded, not sampled. The engine keeps a current context
-// (the stack of the event being dispatched); events scheduled during
-// dispatch inherit it, instrumented call sites push frames with Enter/
-// EnterRoot, and the queueing primitives carry the submitter's context
-// across their queues. Everything is derived from the deterministic event
+// Attribution is threaded, not sampled. The stack is one half of the
+// engine's attribution context (eventCtx, engine.go; the other half is the
+// request's span buffer): events scheduled during dispatch inherit it,
+// instrumented call sites push frames with Enter/EnterRoot, and the
+// queueing primitives carry the submitter's context across their queues,
+// both halves as one value. Everything is derived from the deterministic event
 // sequence, so a profile is byte-identical across runs and worker counts —
 // unlike wall-clock pprof, which the repo also ships (harmonyd -debug-addr)
 // but which cannot be compared across machines or checked into a test.
 //
-// A context is a stackID: an index into the engine's frame trie, so pushing
+// A stack is a stackID: an index into the engine's frame trie, so pushing
 // a frame is a lookup among one node's children and recording a dispatch
 // bumps two weights in a slice. Folded "frame;frame;frame" strings are
 // built only when a profile is read (DESIGN.md §7).
@@ -115,12 +116,9 @@ func checkFrameName(name string) {
 func (e *Engine) SetProfile(p *Profile) {
 	e.prof = p
 	if p == nil {
-		e.ctx = 0
+		e.ctx.stack = 0
 	}
 }
-
-// Profiling reports whether a profile is attached.
-func (e *Engine) Profiling() bool { return e.prof != nil }
 
 // Frame is a token returned by Enter/EnterRoot and restored by Exit; the
 // zero value (returned when profiling is off) makes Exit a no-op.
@@ -138,8 +136,8 @@ func (e *Engine) Enter(name string) Frame {
 	if e.prof == nil {
 		return Frame{}
 	}
-	f := Frame{eng: e, prev: e.ctx, ok: true}
-	e.ctx = e.stacks.push(e.ctx, name)
+	f := Frame{eng: e, prev: e.ctx.stack, ok: true}
+	e.ctx.stack = e.stacks.push(e.ctx.stack, name)
 	return f
 }
 
@@ -150,15 +148,15 @@ func (e *Engine) EnterRoot(name string) Frame {
 	if e.prof == nil {
 		return Frame{}
 	}
-	f := Frame{eng: e, prev: e.ctx, ok: true}
-	e.ctx = e.stacks.push(0, name)
+	f := Frame{eng: e, prev: e.ctx.stack, ok: true}
+	e.ctx.stack = e.stacks.push(0, name)
 	return f
 }
 
 // Exit restores the attribution stack saved by Enter/EnterRoot.
 func (f Frame) Exit() {
 	if f.ok {
-		f.eng.ctx = f.prev
+		f.eng.ctx.stack = f.prev
 	}
 }
 

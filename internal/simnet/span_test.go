@@ -256,6 +256,107 @@ func TestTokenPoolRecordsWait(t *testing.T) {
 	}
 }
 
+// TestContextHalvesMoveTogether runs with a profile and span recording
+// both attached, so every hand-off of the attribution context has to move
+// the stack and the span as one value: a queued pool grant and a queued
+// station job each run under their own submitter's stack and span, and
+// the releaser's context is back in place once Release returns.
+func TestContextHalvesMoveTogether(t *testing.T) {
+	t.Run("pool grant", func(t *testing.T) {
+		e := &Engine{}
+		p := NewProfile()
+		e.SetProfile(p)
+		pool := NewTokenPool(e, "threads", 1, -1)
+		pool.SetSpanSite(5)
+		var holder, waiter SpanBuf
+		holder.Begin(0)
+		waiter.Begin(0)
+
+		r := e.EnterRoot("holder")
+		e.SetSpan(&holder)
+		pool.Acquire(func() {
+			e.Schedule(2, func() {
+				before := e.ctx
+				pool.Release() // grants the waiter synchronously
+				if e.ctx != before {
+					t.Errorf("releaser context after Release = %+v, want %+v", e.ctx, before)
+				}
+				e.Schedule(0.5, func() { // charged to holder
+					if e.CurrentSpan() != &holder {
+						t.Error("releaser's follow-up event lost the releaser's span")
+					}
+				})
+			})
+		}, nil)
+		r.Exit()
+		r = e.EnterRoot("waiter")
+		e.SetSpan(&waiter)
+		pool.Acquire(func() {
+			if e.CurrentSpan() != &waiter {
+				t.Error("pool grant did not run under the waiter's span")
+			}
+			e.Schedule(4, func() { // charged to waiter;threads/grant
+				if e.CurrentSpan() != &waiter {
+					t.Error("grant's follow-up event lost the waiter's span")
+				}
+			})
+		}, nil)
+		r.Exit()
+		e.SetSpan(nil)
+		e.Run()
+
+		// Dispatches at t=2 and t=2.5 belong to the holder; the grant's
+		// event at t=6 is 3.5s of clock advance charged to the waiter.
+		if got, want := folded(t, p), "holder 2500000\nwaiter;threads/grant 3500000\n"; got != want {
+			t.Errorf("folded:\n%s\nwant:\n%s", got, want)
+		}
+		if want := (SpanSeg{Site: 5, Kind: SpanQueue, Dur: 2000000}); len(waiter.Segs) != 1 || waiter.Segs[0] != want {
+			t.Errorf("waiter segs = %+v, want [%+v]", waiter.Segs, want)
+		}
+		if len(holder.Segs) != 0 {
+			t.Errorf("holder segs = %+v, want none (its token was free)", holder.Segs)
+		}
+	})
+
+	t.Run("queued station job", func(t *testing.T) {
+		e := &Engine{}
+		p := NewProfile()
+		e.SetProfile(p)
+		st := NewStation(e, "cpu", 1, 1) // 1 server: the second job queues
+		st.SetSpanSite(9)
+		var a, b SpanBuf
+		submit := func(name string, buf *SpanBuf, demand float64) {
+			buf.Begin(e.NowTicks())
+			r := e.EnterRoot(name)
+			prev := e.SetSpan(buf)
+			st.Submit(demand, func() {
+				if e.CurrentSpan() != buf {
+					t.Errorf("%s completion ran under span %p, want %p", name, e.CurrentSpan(), buf)
+				}
+			})
+			e.SetSpan(prev)
+			r.Exit()
+		}
+		submit("a", &a, 1)
+		submit("b", &b, 0.5) // started by a's completion at t=1
+		e.Run()
+
+		if got, want := folded(t, p), "a;cpu/svc 1000000\nb;cpu/svc 500000\n"; got != want {
+			t.Errorf("folded:\n%s\nwant:\n%s", got, want)
+		}
+		if want := (SpanSeg{Site: 9, Kind: SpanService, Dur: 1000000}); len(a.Segs) != 1 || a.Segs[0] != want {
+			t.Errorf("a segs = %+v, want [%+v]", a.Segs, want)
+		}
+		wantB := []SpanSeg{
+			{Site: 9, Kind: SpanQueue, Dur: 1000000},
+			{Site: 9, Kind: SpanService, Dur: 500000},
+		}
+		if len(b.Segs) != 2 || b.Segs[0] != wantB[0] || b.Segs[1] != wantB[1] {
+			t.Errorf("b segs = %+v, want %+v", b.Segs, wantB)
+		}
+	})
+}
+
 func TestTicksRounding(t *testing.T) {
 	cases := []struct {
 		t    float64

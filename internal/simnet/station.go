@@ -24,10 +24,6 @@ type Station struct {
 	arrived    uint64
 	queuedPeak int
 
-	// onEvict, when set, receives each queued job's completion callback if
-	// Reset clears a non-empty queue; see Reset.
-	onEvict func(done func())
-
 	// freeSvc recycles in-service completion records so steady-state
 	// Submit/complete cycles are allocation-free: each record carries a
 	// fire closure allocated once, scheduled in place of a fresh per-job
@@ -38,19 +34,19 @@ type Station struct {
 type stationJob struct {
 	demand float64
 	done   func()
-	label  stackID  // attribution stack captured at Submit (profiling runs)
-	span   *SpanBuf // submitter's span, captured at Submit (span runs)
+	ctx    eventCtx // submitter's context, its stack extended by "<station>/svc"
 }
 
 // svcRecord is one in-service job's completion state. fire is allocated
 // once per record and reused across recycles; it dispatches back into the
 // owning station, which releases the record before running the job's done
 // callback (mirroring the engine's release-before-callback discipline).
+// fire runs under the job's context, so the submitter's span is the
+// engine's current span when the service segment is stamped.
 type svcRecord struct {
 	st   *Station
 	done func()
 	fire func()
-	span *SpanBuf // submitter's span, stamped with the service segment
 }
 
 // getSvc returns a recycled service record, or a fresh one.
@@ -71,7 +67,6 @@ func (s *Station) getSvc(done func()) *svcRecord {
 // putSvc recycles a service record, dropping its callback reference.
 func (s *Station) putSvc(r *svcRecord) {
 	r.done = nil
-	r.span = nil
 	s.freeSvc = append(s.freeSvc, r)
 }
 
@@ -126,31 +121,28 @@ func (s *Station) Submit(demand float64, done func()) {
 	// The service completion is attributed to the context that submitted
 	// the job (stack extended by "station/svc"), not to whichever event
 	// later pops it off the queue.
-	var label stackID
+	j := stationJob{demand: demand, done: done, ctx: s.eng.ctx}
 	if s.eng.prof != nil {
-		label = s.eng.stacks.push(s.eng.ctx, s.svc)
+		j.ctx.stack = s.eng.stacks.push(j.ctx.stack, s.svc)
 	}
-	span := s.eng.curSpan
 	if s.busy < s.servers {
-		s.start(demand, done, label, span)
+		s.start(j)
 		return
 	}
-	s.queue = append(s.queue, stationJob{demand: demand, done: done, label: label, span: span})
+	s.queue = append(s.queue, j)
 	if len(s.queue) > s.queuedPeak {
 		s.queuedPeak = len(s.queue)
 	}
 }
 
-func (s *Station) start(demand float64, done func(), label stackID, span *SpanBuf) {
+func (s *Station) start(j stationJob) {
 	s.stamp()
 	s.busy++
-	if span != nil {
+	if j.ctx.span != nil {
 		// Whatever elapsed since Submit was time in this station's queue.
-		span.Mark(s.site, SpanQueue, s.eng.NowTicks())
+		j.ctx.span.Mark(s.site, SpanQueue, s.eng.NowTicks())
 	}
-	r := s.getSvc(done)
-	r.span = span
-	s.eng.scheduleSpanned(demand/s.speed, label, span, r.fire)
+	s.eng.scheduleCtx(j.demand/s.speed, j.ctx, s.getSvc(j.done).fire)
 }
 
 // complete finishes one job's service: the record is recycled first, then
@@ -159,8 +151,8 @@ func (s *Station) start(demand float64, done func(), label stackID, span *SpanBu
 // unchanged.
 func (s *Station) complete(r *svcRecord) {
 	done := r.done
-	if r.span != nil {
-		r.span.Mark(s.site, SpanService, s.eng.NowTicks())
+	if span := s.eng.ctx.span; span != nil {
+		span.Mark(s.site, SpanService, s.eng.NowTicks())
 	}
 	s.putSvc(r)
 	s.stamp()
@@ -171,7 +163,7 @@ func (s *Station) complete(r *svcRecord) {
 		copy(s.queue, s.queue[1:])
 		s.queue[len(s.queue)-1] = stationJob{} // release the closure
 		s.queue = s.queue[:len(s.queue)-1]
-		s.start(next.demand, next.done, next.label, next.span)
+		s.start(next)
 	}
 	if done != nil {
 		done()
@@ -213,44 +205,6 @@ func (s *Station) Utilization(busyAtFrom, fromTime float64) float64 {
 	return u
 }
 
-// SetOnEvict installs the handler Reset hands queued jobs to. The handler
-// receives each evicted job's completion callback and must settle whatever
-// resources the job's submitter holds (release pool tokens, fail the
-// request, or — if completion semantics are acceptable — invoke done).
-func (s *Station) SetOnEvict(h func(done func())) { s.onEvict = h }
-
-// Reset clears counters and the queue (jobs in service still complete).
-// Used between measurement iterations when servers are "restarted".
-//
-// A queued job's done callback closes over upstream state — typically
-// TokenPool tokens the request holds while it waits — so silently dropping
-// the queue leaks that state across iterations. Reset therefore drains a
-// non-empty queue through the SetOnEvict handler; without one it panics,
-// asserting the invariant every current caller relies on (reset only after
-// the queue has drained).
-func (s *Station) Reset() {
-	s.stamp()
-	s.busyTime = 0
-	s.completed = 0
-	s.arrived = 0
-	s.queuedPeak = 0
-	if len(s.queue) > 0 {
-		if s.onEvict == nil {
-			panic("simnet: Reset would drop " + s.name +
-				"'s queued jobs (and leak what their callbacks hold); drain first or SetOnEvict")
-		}
-		// Detach the queue before draining: an evict handler may settle its
-		// job by resubmitting work to this station, and those jobs belong
-		// to the post-reset queue — they must survive, not be dropped with
-		// the evicted batch.
-		q := s.queue
-		s.queue = nil
-		for _, j := range q {
-			s.onEvict(j.done)
-		}
-	}
-}
-
 // TokenPool is a counting semaphore with a FIFO wait queue of bounded
 // length. It models thread pools (tokens = threads) and connection limits;
 // the wait-queue bound models an accept/backlog queue, with arrivals beyond
@@ -272,12 +226,12 @@ type TokenPool struct {
 }
 
 // waiter is one queued Acquire: its grant callback plus the attribution
-// stack captured when the request started waiting, so the eventual grant
-// is charged to the acquirer, not to whichever event released the token.
+// context captured when the request started waiting, its stack extended
+// by "<pool>/grant", so the eventual grant is charged to the acquirer, not
+// to whichever event released the token.
 type waiter struct {
-	fn   func()
-	ctx  stackID
-	span *SpanBuf // acquirer's span, stamped with the wait when granted
+	fn  func()
+	ctx eventCtx
 }
 
 // NewTokenPool creates a pool of capacity tokens whose wait queue holds at
@@ -309,10 +263,6 @@ func (p *TokenPool) Resize(capacity int) {
 	p.grantWaiters()
 }
 
-// SetMaxWait changes the wait-queue bound (maxWait < 0 means unbounded).
-// Requests already waiting are not evicted.
-func (p *TokenPool) SetMaxWait(maxWait int) { p.maxWait = maxWait }
-
 // Acquire requests a token. If one is free and nobody is queued ahead,
 // onGrant runs immediately (synchronously). If the wait queue has room,
 // the request waits FIFO and onGrant runs when a token frees up. Otherwise
@@ -337,9 +287,9 @@ func (p *TokenPool) Acquire(onGrant func(), onReject func()) {
 		}
 		return
 	}
-	w := waiter{fn: onGrant, span: p.eng.curSpan}
+	w := waiter{fn: onGrant, ctx: p.eng.ctx}
 	if p.eng.prof != nil {
-		w.ctx = p.eng.stacks.push(p.eng.ctx, p.grant)
+		w.ctx.stack = p.eng.stacks.push(w.ctx.stack, p.grant)
 	}
 	p.waiters = append(p.waiters, w)
 	if len(p.waiters) > p.waitPeak {
@@ -375,22 +325,16 @@ func (p *TokenPool) grantWaiters() {
 		p.inUse++
 		p.granted++
 		e := p.eng
-		if w.span != nil {
-			// The time since Acquire queued is this pool's wait; the grant
-			// callback runs under the waiter's span, not the releaser's.
-			w.span.Mark(p.site, SpanQueue, e.NowTicks())
+		if w.ctx.span != nil {
+			// The time since Acquire queued is this pool's wait.
+			w.ctx.span.Mark(p.site, SpanQueue, e.NowTicks())
 		}
-		savedSpan := e.curSpan
-		e.curSpan = w.span
-		if e.prof != nil {
-			saved := e.ctx
-			e.ctx = w.ctx
-			w.fn()
-			e.ctx = saved
-		} else {
-			w.fn()
-		}
-		e.curSpan = savedSpan
+		// The grant callback runs under the waiter's context, not the
+		// releaser's, which is back in place once it returns.
+		saved := e.ctx
+		e.ctx = w.ctx
+		w.fn()
+		e.ctx = saved
 	}
 	p.granting = false
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# BENCH_JSON=<trajectory.json> check_bench.sh [bench-log]
+# BENCH_JSON=<trajectory.json> check_bench.sh [bench-log...]
 #
-# Benchmark regression gate + machine-readable trajectory. Reads a
-# `go test -bench ... -benchmem` log (or produces one itself when no
-# argument is given) and:
+# Benchmark regression gate + machine-readable trajectory. Reads one or
+# more `go test -bench ... -benchmem` logs (or produces one itself when no
+# argument is given: the figure benchmarks plus the simnet event-loop
+# benchmarks) and:
 #
 #   1. fails if any benchmark pinned in scripts/bench_baseline.txt
 #      reports more than 10% more allocs/op than its recorded baseline —
@@ -26,18 +27,18 @@ cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_baseline.txt
 json_out=${BENCH_JSON:-}
-log=${1:-}
 if [ -z "$json_out" ]; then
-  echo "usage: BENCH_JSON=<trajectory.json> $0 [bench-log]" >&2
+  echo "usage: BENCH_JSON=<trajectory.json> $0 [bench-log...]" >&2
   exit 2
 fi
 
-if [ -n "$log" ]; then
-  out=$(cat "$log")
+if [ "$#" -gt 0 ]; then
+  out=$(cat "$@")
 else
   out=$(go test -run '^$' \
     -bench 'BenchmarkFigure5Responsiveness|BenchmarkFigure4Memoized|BenchmarkTable4Memoized|BenchmarkFigure7aInstrumented' \
-    -benchtime 1x -benchmem .)
+    -benchtime 1x -benchmem . &&
+    go test -run '^$' -bench 'BenchmarkStationThroughput|BenchmarkEngineDispatch' -benchmem ./internal/simnet/)
   echo "$out"
 fi
 
